@@ -70,7 +70,7 @@ func main() {
 			"primary-partition membership: only install views containing a quorum of the previous view; a minority component wedges instead of splitting the brain")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		recvWorkers = flag.Int("recv-workers", 0,
-			"pipelined runtime: number of parallel receive/decode workers (0: classic single-threaded loop). Also enables the async ordered-delivery executor, WAL group commit and sharded sends")
+			"pipelined runtime: number of parallel receive/decode workers (0: decode, protocol, WAL and upcalls all on the event loop). Also moves the ordered-delivery executor (with WAL group commit) and the sends off the loop")
 		walBatch = flag.Int("wal-batch", 64,
 			"pipelined runtime: max deliveries group-committed per WAL fsync (with -recv-workers > 0 and -wal-dir)")
 		compactEvery = flag.Duration("compact-every", 0,
@@ -183,29 +183,23 @@ func main() {
 			}
 			out.Flush()
 		}
-		if *recvWorkers == 0 {
-			// Classic loop: write-ahead synchronously on the loop
-			// goroutine. The pipelined runtime instead hands the log to
-			// the delivery executor for group commit (below).
-			cb = runtime.WrapDurable(log, cb, func(err error) {
-				fmt.Fprintf(os.Stderr, "ftmpd: wal: %v\n", err)
-			})
-		}
 	}
 
-	opts := runtime.Options{}
+	// The runtime owns the log: every upcall's records are committed
+	// before the application sees it — on the event loop by default,
+	// group-committed by the delivery executor with -recv-workers.
+	opts := runtime.Options{
+		WAL:      log,
+		WALBatch: *walBatch,
+		OnWALError: func(err error) {
+			fmt.Fprintf(os.Stderr, "ftmpd: wal: %v\n", err)
+		},
+	}
 	if *recvWorkers > 0 {
 		opts.RecvWorkers = *recvWorkers
 		opts.DeliveryDepth = 1024
 		opts.SendShards = 2
 		opts.SendBatch = *batchSend
-		if log != nil {
-			opts.WAL = log
-			opts.WALBatch = *walBatch
-			opts.OnWALError = func(err error) {
-				fmt.Fprintf(os.Stderr, "ftmpd: wal: %v\n", err)
-			}
-		}
 	}
 
 	if *batchSend > 1 && *recvWorkers == 0 {
@@ -332,7 +326,7 @@ func main() {
 	leave := func(why string) {
 		once.Do(func() {
 			fmt.Fprintf(os.Stderr, "ftmpd: %s, leaving group %v\n", why, group)
-			shutdown(r, group, log, *recvWorkers > 0)
+			shutdown(r, group, log)
 		})
 	}
 	sigC := make(chan os.Signal, 1)
@@ -414,21 +408,11 @@ func main() {
 // until the removal is stable and the node has gone silent, log the
 // final recovery point, then print the robustness counters accumulated
 // over the process lifetime and exit.
-func shutdown(r *runtime.Runner, group ids.GroupID, log *wal.Log, pipelined bool) {
-	// With the pipelined runtime the delivery executor owns the log
-	// (group commit); syncing means draining the executor through its
-	// barrier, not touching the log from the loop.
+func shutdown(r *runtime.Runner, group ids.GroupID, log *wal.Log) {
+	// The delivery executor owns the log; syncing means draining it
+	// through its barrier, not touching the log directly.
 	walSync := func() {
-		if log == nil {
-			return
-		}
-		var err error
-		if pipelined {
-			err = r.WALSync()
-		} else {
-			r.Do(func(*core.Node, int64) { err = log.Sync() })
-		}
-		if err != nil {
+		if err := r.WALSync(); err != nil {
 			fmt.Fprintf(os.Stderr, "ftmpd: wal sync: %v\n", err)
 		}
 	}

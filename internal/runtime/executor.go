@@ -10,25 +10,32 @@ import (
 	"ftmp/internal/wal"
 )
 
-// executor runs application upcalls (deliveries, view changes, fault
-// reports) off the event loop, in exactly the order the core emitted
-// them. The loop enqueues; one executor goroutine dequeues in chunks,
-// group-commits the chunk's WAL records with a single fsync
-// (wal.SyncBatch), and only then invokes the application callbacks —
-// the same write-ahead contract as WrapDurable, amortized.
+// executor is the one path application upcalls (deliveries, view
+// changes, fault reports) take, in exactly the order the core emitted
+// them. Before a callback observes an event, the WAL records it implies
+// are committed (wal.SyncBatch): write-ahead, so a crash never loses an
+// event the application has seen, under the log's fsync policy.
 //
-// The queue is unbounded on purpose: an enqueue that blocked the loop
-// could deadlock with an application callback that calls Runner.Do.
-// Backpressure is instead a soft watermark (backlogged): when the
-// backlog passes the configured depth, the loop pauses draining the
-// receive ring — ingestion stalls, the loop itself stays live for
-// ticks, retransmissions and operations.
+// With depth == 0 the executor is inline: each upcall commits and runs
+// on the caller's stack — the event loop — so callbacks stay
+// loop-affine. Inline dispatch is re-entrant: a callback that calls back
+// into the node can emit nested upcalls, which commit and run on the
+// spot, exactly as if the core had called the application directly.
+//
+// With depth > 0 the loop only enqueues; one executor goroutine
+// dequeues in chunks, group-commits each chunk's records with a single
+// fsync and then invokes the callbacks. That queue is unbounded on
+// purpose: an enqueue that blocked the loop could deadlock with an
+// application callback that calls Runner.Do. Backpressure is instead a
+// soft watermark (backlogged): when the backlog reaches depth, the loop
+// pauses draining the receive ring — ingestion stalls, the loop itself
+// stays live for ticks, retransmissions and operations.
 type executor struct {
 	cb    core.Callbacks // application-facing callbacks only
 	sb    *wal.SyncBatch // nil when not durable
 	onErr func(error)
 	chunk int // max upcalls (and WAL records) per group commit
-	depth int // backlog watermark that pauses ingestion
+	depth int // backlog watermark that pauses ingestion; 0: inline
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -45,7 +52,6 @@ const (
 	upView
 	upFault
 	upBarrier
-	upExec
 )
 
 type upcall struct {
@@ -55,11 +61,10 @@ type upcall struct {
 	// fault report
 	group     ids.GroupID
 	convicted ids.Membership
-	// barrier reply channel (buffered, cap 1); upExec answers on it too
+	// barrier: sync the WAL, then run fn (if any) with exclusive WAL
+	// access (compaction) and answer on the buffered (cap 1) channel
 	barrier chan error
-	// exec runs on the executor goroutine with exclusive WAL access
-	// (compaction), after the chunk's group commit
-	exec func() error
+	fn      func() error
 }
 
 func newExecutor(cb core.Callbacks, w *wal.Log, chunk, depth int, onErr func(error)) *executor {
@@ -68,31 +73,37 @@ func newExecutor(cb core.Callbacks, w *wal.Log, chunk, depth int, onErr func(err
 		onErr: onErr,
 		chunk: chunk,
 		depth: depth,
-		done:  make(chan struct{}),
 	}
 	if w != nil {
 		e.sb = wal.NewSyncBatch(w)
 	}
-	e.cond = sync.NewCond(&e.mu)
-	go e.run()
+	if depth > 0 {
+		e.cond = sync.NewCond(&e.mu)
+		e.done = make(chan struct{})
+		go e.run()
+	}
 	return e
 }
 
-// enqueue hands one upcall to the executor. Never blocks. After close
-// (only the Runner closes, after the loop has stopped) a barrier is
-// answered inline and anything else is dropped — by then the queue has
-// fully drained, so nothing is lost.
+// enqueue hands one upcall to the executor. Never blocks on the
+// application except inline, where it is the application call. After
+// close (only the Runner closes, after the loop has stopped) a barrier
+// is answered on the caller and anything else is dropped — by then the
+// queue has fully drained, so nothing is lost.
 func (e *executor) enqueue(u upcall) {
+	if e.depth == 0 {
+		us := [1]upcall{u}
+		var recs [2]wal.Record
+		e.commit(us[:], recs[:0])
+		e.dispatch(&us[0])
+		return
+	}
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
 		if u.barrier != nil {
 			<-e.done // the drain owns the WAL until it finishes
-			err := e.syncNow()
-			if err == nil && u.exec != nil {
-				err = u.exec()
-			}
-			u.barrier <- err
+			e.dispatch(&u)
 		}
 		return
 	}
@@ -127,9 +138,7 @@ func (e *executor) run() {
 		if len(e.q) == 0 {
 			e.mu.Unlock()
 			// Closed and drained: leave nothing volatile behind.
-			if err := e.syncNow(); err != nil && e.onErr != nil {
-				e.onErr(err)
-			}
+			e.report(e.syncNow())
 			return
 		}
 		n := len(e.q)
@@ -149,72 +158,85 @@ func (e *executor) run() {
 		e.qlen.Add(-int64(n))
 		e.mu.Unlock()
 
-		// Write-ahead, amortized: every record this chunk implies becomes
-		// durable in one group commit before any of its callbacks run.
-		if e.sb != nil {
-			recs = recs[:0]
-			for _, u := range chunk {
-				switch u.kind {
-				case upDeliver:
-					if u.d.OrderSeq > 0 {
-						recs = append(recs, seqRecord(u.d))
-					}
-					recs = append(recs, deliverRecord(u.d))
-				case upView:
-					if rec, ok := viewRecord(u.v); ok {
-						recs = append(recs, rec)
-					}
-				}
-			}
-			if len(recs) > 0 {
-				if err := e.sb.Commit(recs...); err != nil && e.onErr != nil {
-					// As in WrapDurable: report loudly, still deliver —
-					// availability is not sacrificed to a full disk.
-					e.onErr(err)
-				}
-			}
-		}
-
+		recs = e.commit(chunk, recs[:0])
 		for i := range chunk {
-			u := &chunk[i]
-			switch u.kind {
-			case upDeliver:
-				trace.Inc("runtime.exec_deliveries")
-				if e.cb.Deliver != nil {
-					e.cb.Deliver(u.d)
-				}
-			case upView:
-				if e.cb.ViewChange != nil {
-					e.cb.ViewChange(u.v)
-				}
-			case upFault:
-				if e.cb.FaultReport != nil {
-					e.cb.FaultReport(u.group, u.convicted)
-				}
-			case upBarrier:
-				u.barrier <- e.syncNow()
-			case upExec:
-				// Drain pending group commits first: exec (WAL compaction)
-				// needs the log quiescent and every prior record durable.
-				if err := e.syncNow(); err != nil {
-					u.barrier <- err
-				} else {
-					u.barrier <- u.exec()
-				}
-			}
-			*u = upcall{}
+			e.dispatch(&chunk[i])
+			chunk[i] = upcall{}
 		}
 	}
 }
 
-// close marks the queue closed and waits for the executor to drain
-// everything already enqueued (including a final WAL sync).
-func (e *executor) close() {
-	e.mu.Lock()
-	if !e.closed {
-		e.closed = true
-		e.cond.Signal()
+// commit makes every WAL record that us implies durable in one group
+// commit, using recs as scratch (returned for reuse).
+func (e *executor) commit(us []upcall, recs []wal.Record) []wal.Record {
+	if e.sb == nil {
+		return recs
 	}
+	for i := range us {
+		u := &us[i]
+		switch u.kind {
+		case upDeliver:
+			if u.d.OrderSeq > 0 {
+				recs = append(recs, seqRecord(u.d))
+			}
+			recs = append(recs, deliverRecord(u.d))
+		case upView:
+			if rec, ok := viewRecord(u.v); ok {
+				recs = append(recs, rec)
+			}
+		}
+	}
+	if len(recs) > 0 {
+		// Report loudly, still deliver: availability is not sacrificed
+		// to a full disk.
+		e.report(e.sb.Commit(recs...))
+	}
+	return recs
+}
+
+// dispatch runs one committed upcall.
+func (e *executor) dispatch(u *upcall) {
+	switch u.kind {
+	case upDeliver:
+		trace.Inc("runtime.exec_deliveries")
+		if e.cb.Deliver != nil {
+			e.cb.Deliver(u.d)
+		}
+	case upView:
+		if e.cb.ViewChange != nil {
+			e.cb.ViewChange(u.v)
+		}
+	case upFault:
+		if e.cb.FaultReport != nil {
+			e.cb.FaultReport(u.group, u.convicted)
+		}
+	case upBarrier:
+		// Drain pending group commits first: fn (WAL compaction) needs
+		// the log quiescent and every prior record durable.
+		err := e.syncNow()
+		if err == nil && u.fn != nil {
+			err = u.fn()
+		}
+		u.barrier <- err
+	}
+}
+
+func (e *executor) report(err error) {
+	if err != nil && e.onErr != nil {
+		e.onErr(err)
+	}
+}
+
+// close drains everything already enqueued, then syncs the WAL so
+// nothing volatile is left behind. Called once the loop has stopped.
+func (e *executor) close() {
+	if e.depth == 0 {
+		e.report(e.syncNow())
+		return
+	}
+	e.mu.Lock()
+	e.closed = true
+	e.cond.Signal()
 	e.mu.Unlock()
 	<-e.done
 }

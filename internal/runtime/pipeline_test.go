@@ -23,19 +23,26 @@ import (
 	"ftmp/internal/wire"
 )
 
-// pnode is one pipelined processor plus its recorded deliveries.
+// pnode is one pipelined processor plus its recorded upcalls.
 type pnode struct {
-	p    ids.ProcessorID
-	r    *runtime.Runner
-	mu   sync.Mutex
-	got  []string
-	hook func(n *pnode, d core.Delivery) // optional, runs on the executor
+	p     ids.ProcessorID
+	r     *runtime.Runner
+	mu    sync.Mutex
+	got   []string
+	views []core.ViewChange
+	hook  func(n *pnode, d core.Delivery) // optional, runs on the executor
 }
 
 func (n *pnode) delivered() []string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return append([]string(nil), n.got...)
+}
+
+func (n *pnode) viewsSeen() []core.ViewChange {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return append([]core.ViewChange(nil), n.views...)
 }
 
 // newPipeNodes starts n pipelined processors in a full UDP mesh (self
@@ -63,6 +70,11 @@ func newPipeNodes(t *testing.T, n int, opts runtime.Options, wlog *wal.Log) []*p
 				if node.hook != nil {
 					node.hook(node, d)
 				}
+			},
+			ViewChange: func(v core.ViewChange) {
+				node.mu.Lock()
+				node.views = append(node.views, v)
+				node.mu.Unlock()
 			},
 		}
 		o := opts
@@ -103,7 +115,6 @@ func newPipeNodes(t *testing.T, n int, opts runtime.Options, wlog *wal.Log) []*p
 func pipeOpts() runtime.Options {
 	return runtime.Options{
 		RecvWorkers:   4,
-		BatchMax:      64,
 		DeliveryDepth: 64,
 		SendShards:    2,
 	}
@@ -298,6 +309,54 @@ func TestPipelineStressOverflowAndShutdown(t *testing.T) {
 		trace.Counter("runtime.rx_overflow_drops"),
 		trace.Counter("runtime.tx_overflow_drops"),
 		trace.Counter("runtime.ingest_pauses"))
+}
+
+// TestPipelineLoopDecodeBackpressure runs the loop-decoding ring (no
+// workers) behind an off-loop executor whose application lags: the
+// executor backlog must pause ingestion, the tiny ring must overflow,
+// and NACK repair must still bring both replicas to the same complete
+// history.
+func TestPipelineLoopDecodeBackpressure(t *testing.T) {
+	drops0 := trace.Counter("runtime.rx_overflow_drops")
+	pauses0 := trace.Counter("runtime.ingest_pauses")
+	nodes := newPipeNodes(t, 2, runtime.Options{QueueDepth: 8, DeliveryDepth: 2}, nil)
+	nodes[1].hook = func(*pnode, core.Delivery) {
+		time.Sleep(200 * time.Microsecond)
+	}
+	const msgs = 400
+	for i := 0; i < msgs; i++ {
+		payload := []byte(fmt.Sprintf("loop-%04d-%s", i, strings.Repeat("x", 200)))
+		for {
+			var err error
+			nodes[0].r.Do(func(nd *core.Node, now int64) {
+				err = nd.Multicast(now, grp, ids.ConnectionID{}, 0, payload)
+			})
+			if err == nil {
+				break
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	if !waitFor(t, 30*time.Second, func() bool {
+		return len(nodes[0].delivered()) >= msgs && len(nodes[1].delivered()) >= msgs
+	}) {
+		t.Fatalf("delivered %d and %d of %d", len(nodes[0].delivered()), len(nodes[1].delivered()), msgs)
+	}
+	a, b := nodes[0].delivered(), nodes[1].delivered()
+	if len(a) != msgs || len(b) != msgs {
+		t.Fatalf("delivered %d and %d, want exactly %d", len(a), len(b), msgs)
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("order differs at %d: %.9q vs %.9q", i, a[i], b[i])
+		}
+	}
+	drops := trace.Counter("runtime.rx_overflow_drops") - drops0
+	pauses := trace.Counter("runtime.ingest_pauses") - pauses0
+	t.Logf("rx drops %d, ingest pauses %d", drops, pauses)
+	if drops == 0 || pauses == 0 {
+		t.Fatalf("overflow paths did not run: rx drops %d, ingest pauses %d", drops, pauses)
+	}
 }
 
 // TestPipelineDurableGroupCommit runs a durable pipelined node

@@ -4,31 +4,29 @@
 // goroutine: received datagrams, timer ticks, and application
 // operations submitted through Do.
 //
-// By default the runner is fully synchronous — upcalls (deliveries,
-// view changes, fault reports) run on the loop goroutine, so
-// application callbacks see the same single-threaded world the
-// simulator provides. Options can independently move each side of the
-// datapath off the loop, turning the runner into a pipeline around the
-// still-single-threaded core:
+// There is one datapath. Readers hand datagrams to a receive ring; the
+// loop feeds them to the core in arrival order; the core's upcalls go
+// through the ordered delivery executor, which commits their
+// write-ahead log (WAL) records before the application observes them:
 //
-//	readers ──▶ rxRing ──▶ decode workers ─┐
-//	                                       ▼ (in arrival order)
-//	                        event loop: core.HandleBatch / Tick / Do
+//	readers ──▶ rxRing ──▶ [decode workers] ─┐
+//	                                         ▼ (in arrival order)
+//	                      event loop: core.HandlePacket/HandleBatch / Tick / Do
 //	                           │                      │
 //	                 Transmit  ▼                      ▼  Deliver/ViewChange/FaultReport
-//	              sharded send queues        ordered delivery executor
-//	                           │                      │ (WAL group commit, then app)
+//	             [sharded send queues]      ordered delivery executor
+//	                           │                      │ (WAL commit, then app)
 //	                           ▼                      ▼
 //	                       transport              application
 //
-// RecvWorkers moves datagram decode off the loop (the ring resequences,
-// so the core still sees arrival order). DeliveryDepth moves upcalls
-// onto an ordered executor, optionally group-committing a write-ahead
-// log (WAL) before the application observes each event — the pipelined
-// equivalent of WrapDurable. SendShards moves socket writes off the
-// loop. Each is opt-in precisely because some hosts (the CORBA infra)
-// require loop-affine callbacks; zero Options reproduce the legacy
-// synchronous runner exactly.
+// By default every stage runs on the loop goroutine, so application
+// callbacks see the same single-threaded world the simulator provides —
+// which the CORBA infrastructure (package ftcorba) requires. Options
+// independently move the bracketed stages and the executor off the
+// loop: RecvWorkers decodes in parallel (the ring resequences, so the
+// core still sees arrival order), DeliveryDepth runs upcalls on their
+// own goroutine with WAL group commit, SendShards moves socket writes
+// off the loop. Durability (Options.WAL) works the same in every mode.
 package runtime
 
 import (
@@ -46,25 +44,21 @@ import (
 	"ftmp/internal/wire"
 )
 
-// packet is one received datagram queued for the loop (legacy path).
-type packet struct {
-	data []byte
-	addr wire.MulticastAddr
-}
+// batchMax caps the datagrams the loop ingests per receive-ring
+// wakeup, so ticks and operations interleave with a long burst.
+const batchMax = 256
 
 // Runner hosts one FTMP node on a transport.
 type Runner struct {
 	Node *core.Node
 
 	tr       transport.Transport
-	packets  chan packet // legacy receive queue (nil when ring is set)
-	ring     *rxRing     // pipelined receive ring (nil when packets is set)
+	ring     *rxRing
 	workers  int
 	workStop chan struct{}
 	workWG   sync.WaitGroup
-	batchMax int
-	batch    []core.Incoming
-	paused   bool // loop-only: ingestion paused by executor backlog
+	batch    []core.Incoming // decoded-batch scratch (workers only)
+	paused   bool            // loop-only: ingestion paused by executor backlog
 
 	exec *executor
 	snd  *sender
@@ -79,43 +73,41 @@ type Runner struct {
 	dropWarn warnLimiter
 }
 
-// Options configures a Runner. The zero value is the legacy fully
-// synchronous runner; each pipeline stage is enabled independently.
+// Options configures a Runner. The zero value runs every stage on the
+// event loop; each pipeline stage is enabled independently.
 type Options struct {
 	// Tick is the timer cadence (default 1ms).
 	Tick time.Duration
-	// QueueDepth bounds the receive queue — the channel depth on the
-	// legacy path, the ring capacity (rounded up to a power of two) when
-	// RecvWorkers > 0 (default 4096). Overflow drops datagrams, which
-	// the protocol treats as network loss; drops are counted in the
+	// QueueDepth bounds the receive ring (rounded up to a power of two;
+	// default 4096). Overflow drops datagrams, which the protocol
+	// treats as network loss; drops are counted in the
 	// runtime.rx_overflow_drops trace counter.
 	QueueDepth int
 
 	// RecvWorkers > 0 enables the parallel receive stage: that many
 	// decode workers pre-parse datagrams off the loop and the loop
-	// ingests them in arrival-order batches via core.HandleBatch.
+	// ingests them in arrival-order batches via core.HandleBatch. With
+	// none the loop decodes each datagram itself (core.HandlePacket).
 	RecvWorkers int
-	// BatchMax caps the messages per HandleBatch call (default 256).
-	BatchMax int
 
-	// DeliveryDepth > 0 enables the async ordered delivery executor:
-	// Deliver/ViewChange/FaultReport upcalls run on a dedicated
+	// DeliveryDepth > 0 moves the ordered delivery executor off the
+	// loop: Deliver/ViewChange/FaultReport upcalls run on a dedicated
 	// goroutine in emission order, and when the executor's backlog
 	// reaches DeliveryDepth the loop pauses receive-ring ingestion (the
 	// loop itself stays live) until the application catches up.
 	// Application callbacks then run OFF the loop goroutine; they may
-	// still call Runner.Do.
+	// still call Runner.Do. With 0 upcalls run inline on the loop.
 	DeliveryDepth int
-	// WAL, when set together with DeliveryDepth, is group-committed by
-	// the executor: all records implied by one executor chunk become
-	// durable in a single fsync (wal.SyncBatch) before any of the
-	// chunk's callbacks run. This replaces WrapDurable — do not use
-	// both. Ignored when DeliveryDepth == 0.
+	// WAL, when set, is owned by the executor: the records each upcall
+	// implies are committed before its callback runs. Off the loop, all
+	// records of one executor chunk become durable in a single fsync
+	// (wal.SyncBatch). The log must not be used directly except inside
+	// WALExec.
 	WAL *wal.Log
 	// WALBatch caps upcalls per group commit (default 64).
 	WALBatch int
-	// OnWALError hears executor WAL failures (may be nil); as with
-	// WrapDurable the event still reaches the application.
+	// OnWALError hears WAL failures (may be nil); the event still
+	// reaches the application.
 	OnWALError func(error)
 
 	// SendShards > 0 enables the async send stage: transmissions are
@@ -134,19 +126,14 @@ type Options struct {
 	// syscall amortization: per-destination FIFO and every protocol
 	// effect are unchanged.
 	SendBatch int
-	// SendFlushDelay, with SendBatch > 1, lets an idle shard linger this
-	// long for a second frame before flushing a single-frame vector.
-	// Zero (the default) flushes immediately — batching then only
-	// engages when a backlog exists, which is the load case it is for.
-	SendFlushDelay time.Duration
 }
 
 // New creates a runner. The caller supplies the node configuration and
 // callbacks; the runner overrides the transport-facing callbacks
 // (Transmit, Subscribe, Unsubscribe) to use mkTransport's transport and
-// leaves the application-facing ones (Deliver, ViewChange, FaultReport)
-// untouched — though with DeliveryDepth > 0 they are invoked from the
-// executor goroutine instead of the loop. mkTransport receives the
+// routes the application-facing ones (Deliver, ViewChange, FaultReport)
+// through the delivery executor — on the loop, or with
+// DeliveryDepth > 0 on the executor goroutine. mkTransport receives the
 // handler the transport must invoke.
 func New(cfg core.Config, cb core.Callbacks, mkTransport func(transport.Handler) (transport.Transport, error), opt Options) (*Runner, error) {
 	if opt.Tick == 0 {
@@ -155,9 +142,6 @@ func New(cfg core.Config, cb core.Callbacks, mkTransport func(transport.Handler)
 	if opt.QueueDepth == 0 {
 		opt.QueueDepth = 4096
 	}
-	if opt.BatchMax == 0 {
-		opt.BatchMax = 256
-	}
 	if opt.WALBatch == 0 {
 		opt.WALBatch = 64
 	}
@@ -165,46 +149,31 @@ func New(cfg core.Config, cb core.Callbacks, mkTransport func(transport.Handler)
 		opt.SendDepth = 1024
 	}
 	r := &Runner{
+		ring:     newRxRing(opt.QueueDepth, opt.RecvWorkers > 0),
+		workers:  opt.RecvWorkers,
+		workStop: make(chan struct{}),
 		ops:      make(chan func(now int64), 256),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 		tick:     opt.Tick,
 		start:    time.Now(),
-		workers:  opt.RecvWorkers,
-		batchMax: opt.BatchMax,
+	}
+	if r.workers > 0 {
+		r.batch = make([]core.Incoming, 0, batchMax)
 	}
 
-	var handler transport.Handler
-	if opt.RecvWorkers > 0 {
-		r.ring = newRxRing(opt.QueueDepth)
-		r.workStop = make(chan struct{})
-		r.batch = make([]core.Incoming, 0, opt.BatchMax)
-		handler = func(data []byte, addr wire.MulticastAddr) {
-			if !r.ring.offer(data, addr) {
-				r.noteRxDrop()
-			}
+	tr, err := mkTransport(func(data []byte, addr wire.MulticastAddr) {
+		if !r.ring.offer(data, addr) {
+			r.noteRxDrop()
 		}
-	} else {
-		r.packets = make(chan packet, opt.QueueDepth)
-		handler = func(data []byte, addr wire.MulticastAddr) {
-			select {
-			case r.packets <- packet{data: data, addr: addr}:
-			default:
-				// Queue overflow: drop, as a congested NIC would — but
-				// never silently.
-				r.noteRxDrop()
-			}
-		}
-	}
-
-	tr, err := mkTransport(handler)
+	})
 	if err != nil {
 		return nil, err
 	}
 	r.tr = tr
 
 	if opt.SendShards > 0 {
-		r.snd = newSender(tr, opt.SendShards, opt.SendDepth, opt.SendBatch, opt.SendFlushDelay)
+		r.snd = newSender(tr, opt.SendShards, opt.SendDepth, opt.SendBatch)
 		cb.Transmit = r.snd.send
 	} else {
 		cb.Transmit = func(addr wire.MulticastAddr, data []byte) {
@@ -216,22 +185,20 @@ func New(cfg core.Config, cb core.Callbacks, mkTransport func(transport.Handler)
 	cb.Subscribe = func(addr wire.MulticastAddr) { _ = tr.Join(addr) }
 	cb.Unsubscribe = func(addr wire.MulticastAddr) { _ = tr.Leave(addr) }
 
-	if opt.DeliveryDepth > 0 {
-		app := core.Callbacks{
-			Deliver:     cb.Deliver,
-			ViewChange:  cb.ViewChange,
-			FaultReport: cb.FaultReport,
-		}
-		r.exec = newExecutor(app, opt.WAL, opt.WALBatch, opt.DeliveryDepth, opt.OnWALError)
-		cb.Deliver = func(d core.Delivery) {
-			r.exec.enqueue(upcall{kind: upDeliver, d: d})
-		}
-		cb.ViewChange = func(v core.ViewChange) {
-			r.exec.enqueue(upcall{kind: upView, v: v})
-		}
-		cb.FaultReport = func(g ids.GroupID, convicted ids.Membership) {
-			r.exec.enqueue(upcall{kind: upFault, group: g, convicted: convicted})
-		}
+	app := core.Callbacks{
+		Deliver:     cb.Deliver,
+		ViewChange:  cb.ViewChange,
+		FaultReport: cb.FaultReport,
+	}
+	r.exec = newExecutor(app, opt.WAL, opt.WALBatch, opt.DeliveryDepth, opt.OnWALError)
+	cb.Deliver = func(d core.Delivery) {
+		r.exec.enqueue(upcall{kind: upDeliver, d: d})
+	}
+	cb.ViewChange = func(v core.ViewChange) {
+		r.exec.enqueue(upcall{kind: upView, v: v})
+	}
+	cb.FaultReport = func(g ids.GroupID, convicted ids.Membership) {
+		r.exec.enqueue(upcall{kind: upFault, group: g, convicted: convicted})
 	}
 
 	r.Node = core.NewNode(cfg, cb)
@@ -273,44 +240,30 @@ func (r *Runner) loop() {
 	defer close(r.done)
 	ticker := time.NewTicker(r.tick)
 	defer ticker.Stop()
-	if r.ring != nil {
-		for {
-			select {
-			case <-r.stop:
-				return
-			case <-r.ring.notify:
-				r.drainRing()
-			case op := <-r.ops:
-				op(r.now())
-			case <-ticker.C:
-				// The tick also resumes ingestion after a backpressure
-				// pause (the ring's wakeup may have been consumed while
-				// paused), at worst one tick late.
-				r.drainRing()
-				r.Node.Tick(r.now())
-			}
-		}
-	}
 	for {
 		select {
 		case <-r.stop:
 			return
-		case p := <-r.packets:
-			r.Node.HandlePacket(p.data, p.addr, r.now())
+		case <-r.ring.notify:
+			r.drainRing()
 		case op := <-r.ops:
 			op(r.now())
 		case <-ticker.C:
+			// The tick also resumes ingestion after a backpressure
+			// pause (the ring's wakeup may have been consumed while
+			// paused), at worst one tick late.
+			r.drainRing()
 			r.Node.Tick(r.now())
 		}
 	}
 }
 
-// drainRing feeds one batch from the receive ring into the core,
-// unless the delivery executor is backlogged — then ingestion pauses
-// (the ring and, transitively, the kernel socket buffer absorb the
-// burst) while ticks and operations stay live.
+// drainRing feeds up to batchMax ready datagrams from the receive ring
+// into the core, unless the delivery executor is backlogged — then
+// ingestion pauses (the ring and, transitively, the kernel socket
+// buffer absorb the burst) while ticks and operations stay live.
 func (r *Runner) drainRing() {
-	if r.exec != nil && r.exec.backlogged() {
+	if r.exec.backlogged() {
 		if !r.paused {
 			r.paused = true
 			trace.Inc("runtime.ingest_pauses")
@@ -318,18 +271,28 @@ func (r *Runner) drainRing() {
 		return
 	}
 	r.paused = false
-	batch, errs := r.ring.drain(r.batchMax, r.batch[:0])
-	if errs > 0 {
-		r.Node.NoteDecodeErrors(errs)
+	if r.workers == 0 {
+		for i := 0; i < batchMax; i++ {
+			data, addr, ok := r.ring.next()
+			if !ok {
+				break
+			}
+			r.Node.HandlePacket(data, addr, r.now())
+		}
+	} else {
+		batch, errs := r.ring.drain(batchMax, r.batch[:0])
+		if errs > 0 {
+			r.Node.NoteDecodeErrors(errs)
+		}
+		if len(batch) > 0 {
+			r.Node.HandleBatch(batch, r.now())
+			trace.Inc("runtime.rx_batches")
+			trace.Count("runtime.rx_batched_msgs", uint64(len(batch)))
+		}
+		r.batch = batch[:0]
 	}
-	if len(batch) > 0 {
-		r.Node.HandleBatch(batch, r.now())
-		trace.Inc("runtime.rx_batches")
-		trace.Count("runtime.rx_batched_msgs", uint64(len(batch)))
-	}
-	r.batch = batch[:0]
 	if r.ring.hasReady() {
-		// Hit the batch cap with more already decoded: re-arm.
+		// Hit the batch cap with more already ready: re-arm.
 		r.ring.wake()
 	}
 }
@@ -352,40 +315,32 @@ func (r *Runner) Do(fn func(node *core.Node, now int64)) {
 	}
 }
 
-// WALSync is the durability barrier for executor-owned WALs: it blocks
-// until every upcall enqueued before it has run and the log is forced
-// to stable storage. With no executor (or no WAL) it returns nil — the
-// legacy path syncs its log directly.
-func (r *Runner) WALSync() error {
-	if r.exec == nil {
-		return nil
-	}
-	ch := make(chan error, 1)
-	r.exec.enqueue(upcall{kind: upBarrier, barrier: ch})
-	return <-ch
-}
+// WALSync is the durability barrier: it blocks until every upcall the
+// core emitted before it has run and the WAL (if any) is forced to
+// stable storage, whatever the log's fsync policy.
+func (r *Runner) WALSync() error { return r.WALExec(nil) }
 
-// WALExec runs fn on the goroutine that owns the WAL, after every
-// upcall enqueued before it has committed — the hook for WAL
-// compaction, which needs exclusive, quiescent log access. With an
-// executor the fn runs there; without one it runs on the event loop
-// (the legacy single-threaded owner). Must not be called from an
-// application callback (it would deadlock waiting on its own queue).
+// WALExec runs fn (if non-nil) on the goroutine that owns the WAL —
+// the executor goroutine, or the event loop with an inline executor —
+// after every upcall emitted before it has committed and the log is
+// synced: the hook for WAL compaction, which needs exclusive, quiescent
+// log access. Must not be called from an application callback (it
+// would deadlock waiting on its own queue).
 func (r *Runner) WALExec(fn func() error) error {
-	if r.exec == nil {
-		var err error
-		r.Do(func(*core.Node, int64) { err = fn() })
-		return err
-	}
 	ch := make(chan error, 1)
-	r.exec.enqueue(upcall{kind: upExec, exec: fn, barrier: ch})
+	u := upcall{kind: upBarrier, fn: fn, barrier: ch}
+	ran := false
+	r.Do(func(*core.Node, int64) {
+		ran = true
+		r.exec.enqueue(u)
+	})
+	if !ran {
+		// Stopped, so a Close is under way: once it has drained the
+		// executor the log is quiescent and the barrier runs here.
+		r.Close()
+		r.exec.enqueue(u)
+	}
 	return <-ch
-}
-
-// Backlogged reports whether the delivery executor is over its
-// watermark (ingestion paused). Always false without an executor.
-func (r *Runner) Backlogged() bool {
-	return r.exec != nil && r.exec.backlogged()
 }
 
 // Close stops the pipeline in dependency order: the loop first (no new
@@ -401,13 +356,9 @@ func (r *Runner) Close() {
 			r.snd.close()
 		}
 		_ = r.tr.Close()
-		if r.workStop != nil {
-			close(r.workStop)
-			r.workWG.Wait()
-		}
-		if r.exec != nil {
-			r.exec.close()
-		}
+		close(r.workStop)
+		r.workWG.Wait()
+		r.exec.close()
 	})
 }
 

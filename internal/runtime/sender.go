@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"sync"
-	"time"
 
 	"ftmp/internal/trace"
 	"ftmp/internal/transport"
@@ -20,14 +19,11 @@ import (
 // each wakeup coalesces the shard's backlog — up to batch frames — into
 // one SendBatch call, which the batched transports turn into sendmmsg
 // vectors: the kernel crossing is amortized across the burst instead of
-// paid per frame. An idle shard still sends each frame immediately; an
-// optional flushDelay trades that first-frame latency for a chance to
-// fill the vector when traffic is sparse.
+// paid per frame. An idle shard still sends each frame immediately.
 type sender struct {
 	tr     transport.Transport
 	btr    transport.BatchSender // non-nil: batch-drain the shards
 	batch  int
-	delay  time.Duration
 	shards []chan txItem
 	wg     sync.WaitGroup
 	once   sync.Once
@@ -38,8 +34,8 @@ type txItem struct {
 	data []byte
 }
 
-func newSender(tr transport.Transport, shards, depth, batch int, delay time.Duration) *sender {
-	s := &sender{tr: tr, batch: batch, delay: delay, shards: make([]chan txItem, shards)}
+func newSender(tr transport.Transport, shards, depth, batch int) *sender {
+	s := &sender{tr: tr, batch: batch, shards: make([]chan txItem, shards)}
 	if batch > 1 {
 		s.btr, _ = tr.(transport.BatchSender)
 	}
@@ -69,33 +65,9 @@ func newSender(tr transport.Transport, shards, depth, batch int, delay time.Dura
 // ordering contract keeps per-destination FIFO intact.
 func (s *sender) drainBatched(ch chan txItem) {
 	items := make([]transport.Datagram, 0, s.batch)
-	var timer *time.Timer
 	for it := range ch {
 		items = append(items[:0], transport.Datagram{Addr: it.addr, Data: it.data})
 		open := s.sweep(ch, &items)
-		if open && len(items) == 1 && s.delay > 0 {
-			// Sparse traffic: linger briefly for a batch-mate, then sweep
-			// once more. Under load the first sweep already filled the
-			// vector and this path never runs.
-			if timer == nil {
-				timer = time.NewTimer(s.delay)
-			} else {
-				timer.Reset(s.delay)
-			}
-			select {
-			case more, ok := <-ch:
-				if !timer.Stop() {
-					<-timer.C
-				}
-				if ok {
-					items = append(items, transport.Datagram{Addr: more.addr, Data: more.data})
-					open = s.sweep(ch, &items)
-				} else {
-					open = false
-				}
-			case <-timer.C:
-			}
-		}
 		// Best-effort like the unbatched path.
 		_ = s.btr.SendBatch(items)
 		trace.Inc("runtime.tx_batches")

@@ -2,7 +2,9 @@ package runtime_test
 
 import (
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"ftmp/internal/core"
 	"ftmp/internal/ids"
@@ -11,48 +13,48 @@ import (
 	"ftmp/internal/wire"
 )
 
-// TestWrapDurableSurvivesCrash drives deliveries and view changes
-// through durable callbacks, crashes the filesystem, and verifies the
-// replay reconstructs the full history and the last installed epoch.
-func TestWrapDurableSurvivesCrash(t *testing.T) {
+// durableCrash runs a two-replica group on loop-affine runners (inline
+// executor, no decode workers) whose replica 1 owns a WAL with the given
+// fsync policy. Five messages are delivered, replica 2 leaves (a second
+// logged view), and then — after WALSync when sync is set — the
+// filesystem loses power. It returns replica 1's upcalls and the replay
+// of what its log kept.
+func durableCrash(t *testing.T, policy wal.Policy, sync bool) ([]string, []core.ViewChange, runtime.Replay) {
+	t.Helper()
 	fs := wal.NewMemFS()
-	w, _, err := wal.Open(wal.Config{FS: fs, Policy: wal.SyncAlways})
+	w, _, err := wal.Open(wal.Config{FS: fs, Policy: policy})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var gotPayloads []string
-	var gotViews int
-	var walErrs []error
-	cb := runtime.WrapDurable(w, core.Callbacks{
-		Transmit: func(wire.MulticastAddr, []byte) {},
-		Deliver: func(d core.Delivery) {
-			gotPayloads = append(gotPayloads, string(d.Payload))
-		},
-		ViewChange: func(core.ViewChange) { gotViews++ },
-	}, func(err error) { walErrs = append(walErrs, err) })
-
-	members := ids.NewMembership(1, 2, 3)
-	viewTS := ids.MakeTimestamp(7, 1)
-	cb.ViewChange(core.ViewChange{Group: 100, ViewTS: viewTS, Members: members, Reason: core.ViewBootstrap})
+	var walErrs atomic.Int64
+	nodes := newPipeNodes(t, 2, runtime.Options{OnWALError: func(error) { walErrs.Add(1) }}, w)
 	for i := 1; i <= 5; i++ {
-		cb.Deliver(core.Delivery{
-			Group:      100,
-			Source:     ids.ProcessorID(1 + i%3),
-			TS:         ids.MakeTimestamp(uint64(10+i), ids.ProcessorID(1+i%3)),
-			RequestNum: ids.RequestNum(i),
-			Payload:    []byte{byte('a' + i)},
+		src := nodes[i%2]
+		src.r.Do(func(nd *core.Node, now int64) {
+			if err := nd.Multicast(now, grp, ids.ConnectionID{}, ids.RequestNum(i), []byte{byte('a' + i)}); err != nil {
+				t.Errorf("multicast: %v", err)
+			}
 		})
+		// One at a time, so the agreed order is the send order.
+		if !waitFor(t, 10*time.Second, func() bool { return len(nodes[0].delivered()) >= i }) {
+			t.Fatalf("delivery %d never arrived", i)
+		}
 	}
-	grown := members.Add(4)
-	viewTS2 := ids.MakeTimestamp(30, 2)
-	cb.ViewChange(core.ViewChange{Group: 100, ViewTS: viewTS2, Members: grown, Reason: core.ViewAdd})
-
-	if len(gotPayloads) != 5 || gotViews != 2 {
-		t.Fatalf("application saw %d deliveries, %d views", len(gotPayloads), gotViews)
+	nodes[1].r.Do(func(nd *core.Node, now int64) {
+		if err := nd.Leave(now, grp); err != nil {
+			t.Errorf("leave: %v", err)
+		}
+	})
+	if !waitFor(t, 10*time.Second, func() bool { return len(nodes[0].viewsSeen()) >= 2 }) {
+		t.Fatalf("replica 1 saw views %v, want bootstrap and removal", nodes[0].viewsSeen())
 	}
-	if len(walErrs) != 0 {
-		t.Fatalf("wal errors: %v", walErrs)
+	if sync {
+		if err := nodes[0].r.WALSync(); err != nil {
+			t.Fatalf("WALSync: %v", err)
+		}
+	}
+	if n := walErrs.Load(); n != 0 {
+		t.Fatalf("%d wal errors", n)
 	}
 
 	fs.Crash()
@@ -60,7 +62,18 @@ func TestWrapDurableSurvivesCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp := runtime.RecoverReplay(rec.Records)
+	return nodes[0].delivered(), nodes[0].viewsSeen(), runtime.RecoverReplay(rec.Records)
+}
+
+// TestRunnerDurableSurvivesCrash: under SyncAlways every delivery and
+// view a loop-affine runner hands the application is already durable,
+// so a power loss with no explicit sync keeps the full history and the
+// last installed epoch.
+func TestRunnerDurableSurvivesCrash(t *testing.T) {
+	got, views, rp := durableCrash(t, wal.SyncAlways, false)
+	if len(got) != 5 || len(views) != 2 {
+		t.Fatalf("application saw %d deliveries, %d views", len(got), len(views))
+	}
 	if len(rp.Deliveries) != 5 {
 		t.Fatalf("recovered %d deliveries, want 5", len(rp.Deliveries))
 	}
@@ -69,15 +82,31 @@ func TestWrapDurableSurvivesCrash(t *testing.T) {
 			t.Errorf("delivery %d payload = %q", i, got)
 		}
 	}
-	ep, ok := rp.Epochs[100]
+	last := views[len(views)-1]
+	ep, ok := rp.Epochs[grp]
 	if !ok {
-		t.Fatal("no recovered epoch for group 100")
+		t.Fatalf("no recovered epoch for group %v", grp)
 	}
-	if ep.ViewTS != viewTS2 || !reflect.DeepEqual(ep.Members, grown) {
-		t.Errorf("recovered epoch = %+v, want viewTS %v members %v", ep, viewTS2, grown)
+	if ep.ViewTS != last.ViewTS || !reflect.DeepEqual(ep.Members, last.Members) {
+		t.Errorf("recovered epoch = %+v, want viewTS %v members %v", ep, last.ViewTS, last.Members)
 	}
-	if rp.MaxTS != viewTS2 {
-		t.Errorf("MaxTS = %v, want %v", rp.MaxTS, viewTS2)
+	if rp.MaxTS != last.ViewTS {
+		t.Errorf("MaxTS = %v, want %v", rp.MaxTS, last.ViewTS)
+	}
+}
+
+// TestRunnerWALSyncLoopAffine: under SyncNever nothing is forced until
+// WALSync, which on a loop-affine runner must sync the log on the loop
+// — after it, a power loss keeps every delivery.
+func TestRunnerWALSyncLoopAffine(t *testing.T) {
+	got, _, rp := durableCrash(t, wal.SyncNever, true)
+	if len(rp.Deliveries) != len(got) {
+		t.Fatalf("recovered %d deliveries, want all %d", len(rp.Deliveries), len(got))
+	}
+	for i, d := range rp.Deliveries {
+		if string(d.Payload) != got[i] {
+			t.Errorf("recovered delivery %d = %q, want %q", i, d.Payload, got[i])
+		}
 	}
 }
 
